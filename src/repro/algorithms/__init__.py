@@ -15,7 +15,6 @@ from repro.algorithms.async_ps import (
     HogwildSGDTrainer,
 )
 from repro.algorithms.base import RunResult, TimeBreakdown, TrainerConfig, TrainRecord
-from repro.algorithms.mpi_async_easgd import MpiAsyncEasgdResult, run_mpi_async_easgd
 from repro.algorithms.mpi_easgd import MpiEasgdResult, run_mpi_sync_easgd
 from repro.algorithms.mpi_sgd import MpiSgdResult, run_mpi_sync_sgd
 from repro.algorithms.multinode import ClusterSyncEASGDTrainer
@@ -43,8 +42,6 @@ __all__ = [
     "run_mpi_sync_sgd",
     "MpiEasgdResult",
     "run_mpi_sync_easgd",
-    "MpiAsyncEasgdResult",
-    "run_mpi_async_easgd",
     "ALGORITHM_INFO",
     "ALGORITHMS",
     "AlgorithmInfo",

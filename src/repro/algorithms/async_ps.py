@@ -20,9 +20,9 @@ the master vector carries the server-side fold, a :class:`WorkerRule`
 the worker-side reply fold. The same seam hosts the classic
 parameter-server zoo in :mod:`repro.algorithms.ps_zoo` (DOWNPOUR, ADAG,
 EAMSGD, staleness-bounded EASGD) — those subclasses override the
-store/rule factories, the per-exchange local compute
-(:meth:`_AsyncPSBase._local_compute`, ``batches_per_exchange`` local
-batches per master exchange), and the staleness admission hook
+store/rule factories, the local step between exchanges
+(:meth:`_AsyncPSBase._local_step`, run on each of the
+``batches_per_exchange`` local batches), and the staleness admission hook
 (:meth:`_AsyncPSBase._admit`, backed by
 :class:`repro.engine.ps.StalenessBound`).
 
@@ -148,13 +148,11 @@ class _AsyncPSStep(EventStepStrategy):
         # a worker's last sync and the application of its contribution —
         # the quantity asynchronous convergence analyses bound. The sums
         # cover *applied* updates; rejected/clipped admissions are counted
-        # separately (stale_rejects/stale_clips and the trainer's bound).
+        # by the trainer's StalenessBound.
         self.master_version = 0
         self.worker_version = [0] * g
         self.staleness_sum = 0
         self.staleness_max = 0
-        self.stale_rejects = 0
-        self.stale_clips = 0
         self.completed = 0
         self._breakdown = pipeline.breakdown
 
@@ -321,7 +319,6 @@ class _AsyncPSStep(EventStepStrategy):
             # charges like a served one but completes no step.
             tr._resync(j)
             self.worker_version[j] = self.master_version
-            self.stale_rejects += 1
             pipeline.sim_time = max(pipeline.sim_time, service_done)
             if trace is not None:
                 self.inflight.discard((j, seq))
@@ -342,8 +339,6 @@ class _AsyncPSStep(EventStepStrategy):
             if tr.elastic:
                 breakdown.add("gpu update", self.local_upd_t)
             return False
-        if verdict == "clip":
-            self.stale_clips += 1
         self.staleness_sum += staleness
         self.staleness_max = max(self.staleness_max, staleness)
         tr._interaction(j, tr.net.grads, scale)
@@ -430,8 +425,6 @@ class _AsyncPSStep(EventStepStrategy):
             "worker_version": list(self.worker_version),
             "staleness_sum": self.staleness_sum,
             "staleness_max": self.staleness_max,
-            "stale_rejects": self.stale_rejects,
-            "stale_clips": self.stale_clips,
             "family": tr._family_state(),
             "completed": self.completed,
         }
@@ -468,8 +461,6 @@ class _AsyncPSStep(EventStepStrategy):
         self.worker_version = [int(v) for v in meta["worker_version"]]
         self.staleness_sum = int(meta["staleness_sum"])
         self.staleness_max = int(meta["staleness_max"])
-        self.stale_rejects = int(meta.get("stale_rejects", 0))
-        self.stale_clips = int(meta.get("stale_clips", 0))
         tr._load_family_state(meta.get("family", {}))
         self.completed = int(meta["completed"])
 
@@ -587,13 +578,25 @@ class _AsyncPSBase(BaseTrainer):
     def _local_compute(self, j: int, sampler) -> float:
         """Worker j's compute between exchanges; returns the last batch loss.
 
-        The default is one gradient at the worker's current local weights
-        (left in ``self.net.grads`` for :meth:`_interaction`); multi-batch
-        families override and run ``batches_per_exchange`` local steps.
+        ``batches_per_exchange`` gradients at the worker's local weights,
+        each folded by :meth:`_local_step`; the last one stays in
+        ``self.net.grads`` for :meth:`_interaction`.
         """
-        images, labels = sampler.next_batch()
-        self.net.set_params(self.worker_w[j])
-        return self.net.gradient(images, labels, self.loss)
+        w = self.worker_w[j]
+        loss = 0.0
+        for _ in range(self.batches_per_exchange):
+            images, labels = sampler.next_batch()
+            self.net.set_params(w)
+            loss = self.net.gradient(images, labels, self.loss)
+            self._local_step(j, self.net.grads)
+        return loss
+
+    def _local_step(self, j: int, grad: np.ndarray) -> None:
+        """Fold one local gradient into worker j between exchanges.
+
+        A no-op for the per-step families, whose gradient goes to the
+        master; DOWNPOUR/ADAG/EAMSGD step locally.
+        """
 
     def _admit(self, staleness: int) -> Tuple[str, float]:
         """Staleness admission; the unbounded families apply everything."""

@@ -48,7 +48,6 @@ from repro.engine.ps import (
     DeltaServerStore,
     ElasticCenterStore,
     ElasticPullWorkerRule,
-    FreshPullWorkerRule,
     GossipStore,
     LocalSgdWorkerRule,
     StalenessBound,
@@ -67,17 +66,24 @@ __all__ = [
 ]
 
 
-class DownpourTrainer(_AsyncPSBase):
-    """DOWNPOUR SGD: local SGD bursts, raw weight-delta pushes, fresh pulls."""
-
-    name = "DOWNPOUR SGD"
-    update_op = "ps-apply"
+class _LocalStepsTrainer(_AsyncPSBase):
+    """A family that runs ``local_steps`` local batches between exchanges."""
 
     def __init__(self, *args, local_steps: int = 4, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         if local_steps < 1:
             raise ValueError("local_steps must be >= 1")
         self.batches_per_exchange = local_steps
+
+    def _trace_meta(self) -> Dict:
+        return {"local_steps": self.batches_per_exchange}
+
+
+class DownpourTrainer(_LocalStepsTrainer):
+    """DOWNPOUR SGD: local SGD bursts, raw weight-delta pushes, fresh pulls."""
+
+    name = "DOWNPOUR SGD"
+    update_op = "ps-apply"
 
     def _init_states(self, g: int, init: np.ndarray) -> None:
         super()._init_states(g, init)
@@ -91,15 +97,8 @@ class DownpourTrainer(_AsyncPSBase):
     def _make_rule(self) -> WorkerRule:
         return LocalSgdWorkerRule()
 
-    def _local_compute(self, j: int, sampler) -> float:
-        w = self.worker_w[j]
-        loss = 0.0
-        for _ in range(self.batches_per_exchange):
-            images, labels = sampler.next_batch()
-            self.net.set_params(w)
-            loss = self.net.gradient(images, labels, self.loss)
-            self.rule.local_step(w, self.net.grads, self.hyper.lr)
-        return loss
+    def _local_step(self, j: int, grad: np.ndarray) -> None:
+        self.rule.local_step(self.worker_w[j], grad, self.hyper.lr)
 
     def _interaction(self, j: int, grad: np.ndarray, scale: float = 1.0) -> None:
         self.store.push(self.rule.delta(self.worker_w[j], self.anchor[j]), scale)
@@ -110,24 +109,15 @@ class DownpourTrainer(_AsyncPSBase):
         super()._resync(j)
         self.anchor[j][...] = self.master
 
-    def _trace_meta(self) -> Dict:
-        return {"local_steps": self.batches_per_exchange}
-
     def _family_arrays(self) -> Dict[str, np.ndarray]:
         return {f"anchor-{j}": self.anchor[j] for j in range(len(self.anchor))}
 
 
-class AdagTrainer(_AsyncPSBase):
+class AdagTrainer(_LocalStepsTrainer):
     """ADAG: accumulate gradients while stepping locally; server applies /P."""
 
     name = "ADAG"
     update_op = "ps-apply"
-
-    def __init__(self, *args, local_steps: int = 4, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if local_steps < 1:
-            raise ValueError("local_steps must be >= 1")
-        self.batches_per_exchange = local_steps
 
     def _init_states(self, g: int, init: np.ndarray) -> None:
         super()._init_states(g, init)
@@ -139,15 +129,8 @@ class AdagTrainer(_AsyncPSBase):
     def _make_rule(self) -> WorkerRule:
         return AccumGradWorkerRule()
 
-    def _local_compute(self, j: int, sampler) -> float:
-        w, acc = self.worker_w[j], self.acc[j]
-        loss = 0.0
-        for _ in range(self.batches_per_exchange):
-            images, labels = sampler.next_batch()
-            self.net.set_params(w)
-            loss = self.net.gradient(images, labels, self.loss)
-            self.rule.local_step(w, acc, self.net.grads, self.hyper.lr)
-        return loss
+    def _local_step(self, j: int, grad: np.ndarray) -> None:
+        self.rule.local_step(self.worker_w[j], self.acc[j], grad, self.hyper.lr)
 
     def _interaction(self, j: int, grad: np.ndarray, scale: float = 1.0) -> None:
         self.store.push(self.acc[j], scale)
@@ -158,14 +141,11 @@ class AdagTrainer(_AsyncPSBase):
         super()._resync(j)
         self.acc[j][...] = 0.0
 
-    def _trace_meta(self) -> Dict:
-        return {"local_steps": self.batches_per_exchange}
-
     def _family_arrays(self) -> Dict[str, np.ndarray]:
         return {f"acc-{j}": self.acc[j] for j in range(len(self.acc))}
 
 
-class EamsgdTrainer(_AsyncPSBase):
+class EamsgdTrainer(_LocalStepsTrainer):
     """EAMSGD: local momentum SGD between purely-elastic exchanges (Eqs 5-6)."""
 
     name = "EAMSGD"
@@ -173,29 +153,14 @@ class EamsgdTrainer(_AsyncPSBase):
     momentum = True
     update_op = "elastic-update"
 
-    def __init__(self, *args, local_steps: int = 4, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        if local_steps < 1:
-            raise ValueError("local_steps must be >= 1")
-        self.batches_per_exchange = local_steps
-
     def _make_store(self, g: int) -> ElasticCenterStore:
         return ElasticCenterStore(self.hyper).bind(self.master)
 
     def _make_rule(self) -> WorkerRule:
         return ElasticPullWorkerRule()
 
-    def _local_compute(self, j: int, sampler) -> float:
-        w, v = self.worker_w[j], self.worker_v[j]
-        loss = 0.0
-        for _ in range(self.batches_per_exchange):
-            images, labels = sampler.next_batch()
-            self.net.set_params(w)
-            loss = self.net.gradient(images, labels, self.loss)
-            v *= self.hyper.mu
-            v -= self.hyper.lr * self.net.grads
-            w += v
-        return loss
+    def _local_step(self, j: int, grad: np.ndarray) -> None:
+        self.rule.local_step(self.worker_w[j], self.worker_v[j], grad, self.hyper)
 
     def _interaction(self, j: int, grad: np.ndarray, scale: float = 1.0) -> None:
         # The gradient work already happened locally; the exchange is the
@@ -203,9 +168,6 @@ class EamsgdTrainer(_AsyncPSBase):
         # worker.
         wbar_t = self.store.exchange(self.worker_w[j], scale)
         self.rule.apply(self.worker_w[j], wbar_t, self.hyper, scale)
-
-    def _trace_meta(self) -> Dict:
-        return {"local_steps": self.batches_per_exchange}
 
 
 class BoundedAsyncEasgdTrainer(AsyncEASGDTrainer):
@@ -216,12 +178,9 @@ class BoundedAsyncEasgdTrainer(AsyncEASGDTrainer):
     def __init__(self, *args, tau: Optional[int] = None,
                  staleness_policy: str = "reject", **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if tau is None:
-            # Default: twice the worker count's natural pipelining depth.
-            # With P workers round-robining an FCFS master, healthy
-            # staleness is ~P-1; 2(P-1) only trips under real stragglers.
-            tau = 2 * max(self.platform.num_gpus - 1, 1)
-        self.bound = StalenessBound(int(tau), staleness_policy)
+        self.bound = StalenessBound.for_workers(
+            self.platform.num_gpus, tau, staleness_policy
+        )
 
     def _admit(self, staleness: int) -> Tuple[str, float]:
         return self.bound.admit(staleness)

@@ -273,6 +273,13 @@ class ElasticPullWorkerRule(WorkerRule):
 
     pushes = "local weights"
 
+    def local_step(self, weights: np.ndarray, velocity: np.ndarray,
+                   grad: np.ndarray, hyper: EASGDHyper) -> None:
+        """Momentum SGD between exchanges (the local half of Eqs 5-6)."""
+        velocity *= hyper.mu
+        velocity -= hyper.lr * grad
+        weights += velocity
+
     def apply(self, weights: np.ndarray, wbar_t: np.ndarray,
               hyper: EASGDHyper, scale: float = 1.0) -> None:
         step = hyper.alpha if scale == 1.0 else scale * hyper.alpha
@@ -352,6 +359,19 @@ class StalenessBound:
             raise ValueError(
                 f"policy must be one of {self._POLICIES}, got {self.policy!r}"
             )
+
+    @classmethod
+    def for_workers(cls, workers: int, tau: Optional[int] = None,
+                    policy: str = "reject") -> "StalenessBound":
+        """The bound for ``workers`` workers; ``tau=None`` picks the default.
+
+        The default is twice the natural pipelining depth: with P workers
+        round-robining an FCFS master, healthy staleness is ~P-1, so
+        2(P-1) only trips under real stragglers.
+        """
+        if tau is None:
+            tau = 2 * max(workers - 1, 1)
+        return cls(int(tau), policy)
 
     def admit(self, staleness: int) -> Tuple[str, float]:
         """Decide one update's fate: ("apply"|"clip"|"reject", scale)."""

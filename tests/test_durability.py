@@ -474,6 +474,7 @@ class TestConfigValidation:
                 checkpoint_dir=str(tmp_path),
             ),
             cost_model=CostModel.from_spec(LENET),
-        ).normalize()
+            normalized=True,  # mnist_tiny is shared and already standardized
+        )
         with pytest.raises(ValueError, match="fixed-length"):
             run_method(spec, "sync-easgd3", target_accuracy=0.9, resume=True)

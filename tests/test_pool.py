@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from repro.algorithms.base import TrainerConfig
-from repro.algorithms.mpi_async_easgd import run_mpi_async_easgd
 from repro.algorithms.mpi_easgd import run_mpi_sync_easgd
+from repro.algorithms.ps_runner import run_mpi_ps
 from repro.comm.mp_runtime import fork_available
 from repro.data import make_mnist_like
 from repro.harness.experiment import ExperimentSpec, run_methods
@@ -87,13 +87,13 @@ def test_sync_easgd_pooled_matches_cold(inputs, backend):
 @pytest.mark.parametrize("backend", ["threads", "processes"])
 def test_async_easgd_pooled_matches_cold(inputs, backend):
     net, train, _ = inputs
-    cold = run_mpi_async_easgd(
-        net, train, ranks=RANKS, iterations=ITERS, batch_size=BATCH,
+    cold = run_mpi_ps(
+        "async-easgd", net, train, ranks=RANKS, iterations=ITERS, batch_size=BATCH,
         backend=backend,
     )
     with WorkerPool(RANKS, backend=backend) as pool:
-        pooled = run_mpi_async_easgd(
-            net, train, ranks=RANKS, iterations=ITERS, batch_size=BATCH,
+        pooled = run_mpi_ps(
+            "async-easgd", net, train, ranks=RANKS, iterations=ITERS, batch_size=BATCH,
             backend=backend, pool=pool,
         )
     assert _digest(cold.center) == _digest(pooled.center)

@@ -7,30 +7,30 @@ CenterStore/WorkerRule seam:
   policy never *applies* an update staler than tau, asserted on the derived
   ``staleness_stats`` trace metric and cross-checked against the
   :class:`repro.engine.ps.StalenessBound` counters;
-- backend-equivalence tests (threads vs processes, P=4) for every new
-  family via the rank-program runners;
+- backend-equivalence tests (threads vs processes, P=4) for every family
+  of the :func:`repro.algorithms.ps_runner.run_mpi_ps` rank program, with
+  center digests pinned across the refactor that merged the rank programs,
+  a trace check on every centered family, and knob rejection;
 - checkpoint/resume bit-identity for each simulated zoo family;
 - schedule properties of the tournament :func:`gossip_pairs`.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import TrainerConfig, make_trainer
-from repro.algorithms.ps_runner import (
-    PS_RUNNER_METHODS,
-    run_mpi_gossip,
-    run_mpi_ps,
-)
+from repro.algorithms import ALGORITHM_INFO, TrainerConfig, make_trainer
+from repro.algorithms.ps_runner import PS_RUNNER_METHODS, run_mpi_ps
 from repro.cluster import CostModel, GpuPlatform
 from repro.comm.mp_runtime import fork_available
 from repro.comm.topology import gossip_pairs
 from repro.faults import FaultPlan
 from repro.nn.models import build_mlp
 from repro.nn.spec import LENET
-from repro.trace import check_all
+from repro.trace import Trace, check_all
 from repro.trace.metrics import staleness_stats
 
 pytestmark = pytest.mark.algorithms
@@ -38,6 +38,27 @@ pytestmark = pytest.mark.algorithms
 RANKS = 4
 
 ZOO_METHODS = ("downpour", "adag", "eamsgd", "gossip-sgd", "bounded-async-easgd")
+CENTERED_RUNNER_METHODS = tuple(
+    m for m in sorted(PS_RUNNER_METHODS) if ALGORITHM_INFO[m].family_class == "centered"
+)
+
+#: sha256 of ``run_mpi_ps``'s center on the backend-equivalence problem
+#: (mnist_tiny, build_mlp(seed=7), P=4, 4 rounds, batch 16, seed 3),
+#: recorded from the separate Async EASGD and gossip rank programs before
+#: they merged into ``run_mpi_ps``. With the default tau nothing is
+#: rejected at P=4, so the bounded family equals Async EASGD.
+PINNED_CENTERS = {
+    "downpour": "cbfea3f7f8da9a9a6b9a9fcfd20bdee0386dbff2dbfd85362e47b5ccb0488d6f",
+    "adag": "483764e762858953f4d8762ae874ac37dd84adcf944da004848f0783280b282a",
+    "eamsgd": "2a0c965b354e49922ead269ddb9ac84ed447e3850673ac379f7928a12b4df7e9",
+    "async-easgd": "8c3535b298b8cceaf9bdacb0920f213f949a070d8adfe0e2352c0330c142b1dd",
+    "bounded-async-easgd": "8c3535b298b8cceaf9bdacb0920f213f949a070d8adfe0e2352c0330c142b1dd",
+    "gossip-sgd": "557e9206c6ecae4415215b698227b9ea2a3443ea876fd68d04e47dfa5cd8920c",
+}
+
+
+def _sha256(arr: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
 def _run(method, mnist_tiny, iterations=8, faults=None, **trainer_kwargs):
@@ -199,25 +220,30 @@ class TestBackendEquivalence:
         }
         t, p = runs["threads"], runs["processes"]
         assert np.array_equal(t.center, p.center)
-        assert len(t.worker_weights) == RANKS - 1
+        assert _sha256(t.center) == PINNED_CENTERS[method]
+        # Centered families spend one rank on the server; gossip peers all train.
+        centered = ALGORITHM_INFO[method].family_class == "centered"
+        assert len(t.worker_weights) == (RANKS - 1 if centered else RANKS)
         for wt, wp in zip(t.worker_weights, p.worker_weights):
             assert np.array_equal(wt, wp)
         assert t.mean_losses == p.mean_losses
         assert t.extras == p.extras
 
-    def test_gossip_matches_across_backends(self, mnist_tiny):
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("method", CENTERED_RUNNER_METHODS)
+    def test_trace_passes_invariants(self, method, backend, mnist_tiny):
         net, train = self._template(mnist_tiny)
-        runs = {
-            backend: run_mpi_gossip(net, train, ranks=RANKS,
-                                    iterations=self.ITERATIONS, batch_size=16,
-                                    seed=3, backend=backend)
-            for backend in ("threads", "processes")
-        }
-        t, p = runs["threads"], runs["processes"]
-        assert np.array_equal(t.center, p.center)
-        for wt, wp in zip(t.worker_weights, p.worker_weights):
-            assert np.array_equal(wt, wp)
-        assert t.mean_losses == p.mean_losses
+        trace = Trace()
+        res = run_mpi_ps(method, net, train, ranks=RANKS,
+                         iterations=self.ITERATIONS, batch_size=16,
+                         seed=3, backend=backend, trace=trace)
+        ran = check_all(trace)
+        assert "fcfs-service" in ran
+        assert trace.meta["pattern"] == "ps"
+        services = trace.by_kind("service")
+        assert len(services) == self.ITERATIONS * (RANKS - 1)
+        # Tracing observes the run; it never changes the numbers.
+        assert _sha256(res.center) == PINNED_CENTERS[method]
 
     def test_bounded_runner_rejects_under_tight_tau(self, mnist_tiny):
         net, train = self._template(mnist_tiny)
@@ -226,6 +252,36 @@ class TestBackendEquivalence:
                          seed=3, tau=1, backend="threads")
         assert res.extras["staleness_rejected"] > 0
         assert res.extras["staleness_max_applied"] <= 1
+
+
+# ---------------------------------------------------------------------------
+# run_mpi_ps rejects the knobs a family cannot honour
+# ---------------------------------------------------------------------------
+class TestRunnerKnobs:
+    @pytest.mark.parametrize("method, knob", [
+        ("async-easgd", "local_steps"),
+        ("bounded-async-easgd", "local_steps"),
+        ("gossip-sgd", "local_steps"),
+        ("downpour", "tau"),
+        ("adag", "tau"),
+        ("eamsgd", "tau"),
+        ("async-easgd", "tau"),
+        ("gossip-sgd", "tau"),
+    ])
+    def test_ignored_knob_raises(self, method, knob, mnist_tiny):
+        train, _ = mnist_tiny
+        with pytest.raises(ValueError, match=f"{method}.*{knob}"):
+            run_mpi_ps(method, build_mlp(seed=7), train, ranks=RANKS,
+                       iterations=1, **{knob: 2})
+
+    def test_bad_local_steps_and_tau_raise(self, mnist_tiny):
+        train, _ = mnist_tiny
+        with pytest.raises(ValueError, match="local_steps"):
+            run_mpi_ps("downpour", build_mlp(seed=7), train, ranks=RANKS,
+                       iterations=1, local_steps=0)
+        with pytest.raises(ValueError, match="tau"):
+            run_mpi_ps("bounded-async-easgd", build_mlp(seed=7), train,
+                       ranks=RANKS, iterations=1, tau=-1)
 
 
 # ---------------------------------------------------------------------------

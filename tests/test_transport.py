@@ -15,6 +15,7 @@ Three layers of coverage:
    ``transport="shm"`` at P = 4.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -360,6 +361,13 @@ class TestTransportStats:
 
 RANKS = 4
 ITERATIONS = 5
+#: sha256 prefix of the async-easgd center on the tiny problem, pinned
+#: when the elastic exchange moved into the shared PS rank program.
+ASYNC_EASGD_CENTER = "9dcab76b9a3f54bc"
+
+
+def _sha256(arr: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -410,12 +418,12 @@ class TestTransportEquivalence:
         assert runs["queue"].mean_losses == runs["shm"].mean_losses
 
     def test_async_easgd(self, tiny_problem):
-        from repro.algorithms.mpi_async_easgd import run_mpi_async_easgd
+        from repro.algorithms.ps_runner import run_mpi_ps
 
         net, train = tiny_problem
         runs = {
-            transport: run_mpi_async_easgd(
-                net, train, ranks=RANKS, iterations=ITERATIONS, batch_size=16,
+            transport: run_mpi_ps(
+                "async-easgd", net, train, ranks=RANKS, iterations=ITERATIONS, batch_size=16,
                 seed=0, backend="processes", transport=transport,
             )
             for transport in ("queue", "shm")
@@ -424,17 +432,20 @@ class TestTransportEquivalence:
         for wq, ws in zip(runs["queue"].worker_weights, runs["shm"].worker_weights):
             np.testing.assert_array_equal(wq, ws)
         assert runs["queue"].mean_losses == runs["shm"].mean_losses
+        for run in runs.values():
+            assert _sha256(run.center).startswith(ASYNC_EASGD_CENTER)
 
     def test_async_easgd_matches_threads(self, tiny_problem):
-        from repro.algorithms.mpi_async_easgd import run_mpi_async_easgd
+        from repro.algorithms.ps_runner import run_mpi_ps
 
         net, train = tiny_problem
-        threaded = run_mpi_async_easgd(
-            net, train, ranks=RANKS, iterations=ITERATIONS, batch_size=16,
+        threaded = run_mpi_ps(
+            "async-easgd", net, train, ranks=RANKS, iterations=ITERATIONS, batch_size=16,
             seed=0, backend="threads",
         )
-        forked = run_mpi_async_easgd(
-            net, train, ranks=RANKS, iterations=ITERATIONS, batch_size=16,
+        forked = run_mpi_ps(
+            "async-easgd", net, train, ranks=RANKS, iterations=ITERATIONS, batch_size=16,
             seed=0, backend="processes", transport="shm",
         )
         np.testing.assert_array_equal(threaded.center, forked.center)
+        assert _sha256(threaded.center).startswith(ASYNC_EASGD_CENTER)
