@@ -308,6 +308,9 @@ class _PartitionProcessesStep(_PartitionStepBase):
         for q in [*self.task_qs, self.done_q]:
             q.cancel_join_thread()
             q.close()
+        # Drop the numpy views first: a segment with views still exported
+        # cannot close, and its mapping would leak until garbage collection.
+        self.img_views = self.lbl_views = None
         for seg in [self.w_shm, *self.g_shms, *self.img_shms, *self.lbl_shms]:
             seg.unlink()
 

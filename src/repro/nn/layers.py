@@ -127,12 +127,14 @@ class Dense(Layer):
         self._x = x if training else None
         return x @ self.params["W"] + self.params["b"]
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
+        """Accumulate W/b gradients; return the input gradient, or ``None``
+        without computing it when ``input_grad`` is false."""
         if self._x is None:
             raise RuntimeError("backward called without a training-mode forward")
         self.grads["W"] += self._x.T @ dy
         self.grads["b"] += dy.sum(axis=0)
-        return dy @ self.params["W"].T
+        return dy @ self.params["W"].T if input_grad else None
 
     def flops_per_sample(self) -> int:
         (fan_in,) = self.input_shape
@@ -247,7 +249,10 @@ class Conv2D(Layer):
             self._x_shape = None
         return y.reshape(n, out_h, out_w, out_c).transpose(0, 3, 1, 2)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> Optional[np.ndarray]:
+        """Accumulate W/b gradients; return the input gradient, or ``None``
+        without the ``dcols`` GEMM and ``col2im`` when ``input_grad`` is
+        false."""
         if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward called without a training-mode forward")
         n, out_c, out_h, out_w = dy.shape
@@ -256,19 +261,20 @@ class Conv2D(Layer):
         cg, og = c // self.groups, out_c // self.groups
         dy_mat = dy.transpose(0, 2, 3, 1).reshape(-1, out_c)  # (N*oh*ow, out_c)
 
-        dx = self._workspace(("dx",), self._x_shape, dy.dtype)
+        dx = self._workspace(("dx",), self._x_shape, dy.dtype) if input_grad else None
         group_x_shape = (n, cg) + self._x_shape[2:]
         h, w = self._x_shape[2], self._x_shape[3]
         padded_shape = (n, cg, h + 2 * self.pad, w + 2 * self.pad)
         for g in range(self.groups):
             dyg = dy_mat[:, g * og : (g + 1) * og]
             w_view = self.params["W"][g * og : (g + 1) * og]
-            w_mat = w_view.reshape(og, -1)
             self.grads["W"][g * og : (g + 1) * og] += (
                 dyg.T @ self._cols[g]
             ).reshape(w_view.shape)
             self.grads["b"][g * og : (g + 1) * og] += dyg.sum(axis=0)
-            dcols = dyg @ w_mat  # (N*oh*ow, cg*k*k)
+            if dx is None:
+                continue
+            dcols = dyg @ w_view.reshape(og, -1)  # (N*oh*ow, cg*k*k)
             # col2im zeroes and scatter-adds into the reused padded scratch;
             # its return aliases that scratch, so copy into dx immediately.
             dx[:, g * cg : (g + 1) * cg] = col2im(
@@ -312,39 +318,85 @@ class _Pool2D(Layer):
         )
         return view[:, :, :: self.stride, :: self.stride, :, :]
 
+    def _at(self, a: np.ndarray, k: int) -> np.ndarray:
+        """(N, C, oh, ow) strided view of ``a`` at row-major in-window
+        offset ``k`` of every window."""
+        i, j = divmod(k, self.pool_size)
+        _, oh, ow = self.output_shape
+        s = self.stride
+        return a[:, :, i : i + s * oh : s, j : j + s * ow : s]
+
 
 class MaxPool2D(_Pool2D):
-    """Max pooling; gradient routes to the argmax element of each window."""
+    """Max pooling; gradient routes to the argmax element of each window.
+
+    Forward and backward loop over the p*p in-window offsets, one
+    vectorized pass per offset over every window at once. Outputs and
+    input gradients are C-contiguous whatever the input's layout: layers
+    downstream (BatchNorm's sums) reduce in memory order, so handing them
+    another layout would change their bytes.
+    """
 
     def __init__(self, pool_size: int, stride: Optional[int] = None, name: Optional[str] = None) -> None:
         super().__init__(pool_size, stride, name)
         self._x_shape: Optional[Tuple[int, ...]] = None
+        # Row-major in-window offset of each window's max (np.argmax's).
         self._argmax: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        windows = self._windows(x)
-        n, c, oh, ow, p, _ = windows.shape
-        flat = windows.reshape(n, c, oh, ow, p * p)
-        if training:
-            self._x_shape = x.shape
-            self._argmax = flat.argmax(axis=-1)
-            return np.take_along_axis(flat, self._argmax[..., None], axis=-1)[..., 0]
-        return flat.max(axis=-1)
+        offsets = self.pool_size * self.pool_size
+        best = np.empty((x.shape[0],) + self.output_shape, dtype=x.dtype)
+        best[...] = self._at(x, 0)
+        if not training:
+            # A running np.maximum is the windows' max reduction: a tie
+            # goes to the later offset and the first NaN wins.
+            for k in range(1, offsets):
+                np.maximum(best, self._at(x, k), out=best)
+            return best
+
+        # np.argmax's rule: offset k takes over where it is strictly
+        # greater, or NaN over a non-NaN best, so a tie keeps the first.
+        # The selects are bitwise: a masked copy (``where=``) on a random
+        # mask costs about five times as much.
+        uint = np.dtype(f"u{x.dtype.itemsize}")
+        argmax = np.zeros(best.shape, dtype=np.min_scalar_type(offsets - 1))
+        cur = np.empty_like(best)
+        take = np.empty(best.shape, dtype=bool)
+        mask = np.empty(best.shape, dtype=uint)
+        best_bits, cur_bits = best.view(uint), cur.view(uint)
+        for k in range(1, offsets):
+            cur[...] = self._at(x, k)
+            np.less_equal(cur, best, out=take)
+            np.logical_not(take, out=take)
+            take &= best == best
+            np.maximum(argmax, take * argmax.dtype.type(k), out=argmax)
+            np.negative(take, out=mask, dtype=uint, casting="unsafe")  # all ones where taken
+            cur_bits ^= best_bits
+            cur_bits &= mask
+            best_bits ^= cur_bits
+        self._x_shape = x.shape
+        self._argmax = argmax
+        return best
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._x_shape is None or self._argmax is None:
             raise RuntimeError("backward called without a training-mode forward")
-        n, c, oh, ow = dy.shape
-        p = self.pool_size
         dx = np.zeros(self._x_shape, dtype=dy.dtype)
-        # Decompose flat argmax into in-window offsets, then scatter-add with
-        # advanced indexing (vectorized over the whole batch).
-        off_i = self._argmax // p
-        off_j = self._argmax % p
-        ni, ci, oi, oj = np.indices((n, c, oh, ow))
-        rows = oi * self.stride + off_i
-        cols = oj * self.stride + off_j
-        np.add.at(dx, (ni, ci, rows, cols), dy)
+        # Offset k adds dy where the window's max sits at k and -0.0, the
+        # exact additive identity, elsewhere. Descending offsets add each
+        # cell's overlapping windows in ascending window order, the order
+        # of the scatter-add this replaces, so the sums match bit for bit.
+        uint = np.dtype(f"u{dy.dtype.itemsize}")
+        sign = np.array(-0.0, dtype=dy.dtype).view(uint)
+        dy_flipped = dy.view(uint) ^ sign
+        mask = np.empty(dy.shape, dtype=uint)
+        part = np.empty(dy.shape, dtype=uint)
+        for k in reversed(range(self.pool_size * self.pool_size)):
+            np.negative(self._argmax == k, out=mask, dtype=uint, casting="unsafe")
+            np.bitwise_and(dy_flipped, mask, out=part)
+            part ^= sign
+            view = self._at(dx, k)
+            view += part.view(dy.dtype)
         return dx
 
 
@@ -366,15 +418,9 @@ class AvgPool2D(_Pool2D):
         p = self.pool_size
         share = dy / (p * p)
         dx = np.zeros(self._x_shape, dtype=dy.dtype)
-        n, c, oh, ow = dy.shape
-        for i in range(p):
-            for j in range(p):
-                dx[
-                    :,
-                    :,
-                    i : i + self.stride * oh : self.stride,
-                    j : j + self.stride * ow : self.stride,
-                ] += share
+        for k in range(p * p):
+            view = self._at(dx, k)
+            view += share
         return dx
 
 

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.nn.init import INITIALIZERS
-from repro.nn.layers import Layer
+from repro.nn.layers import Conv2D, Dense, Layer
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.util.rng import spawn_rng
 
@@ -70,6 +70,11 @@ class Network:
         for layer in self.layers:
             shape = layer.build(shape)
         self.output_shape = shape
+        # Backpropagation for parameter gradients ends at the first layer
+        # with parameters: nothing reads the gradient of the input images.
+        self._first_trainable = next(
+            (i for i, layer in enumerate(self.layers) if layer.param_specs()), None
+        )
 
         # Packed allocation: one flat buffer for params, one for grads.
         self.segments: List[ParamSegment] = []
@@ -184,7 +189,8 @@ class Network:
         return x
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        """Backward propagation; accumulates into the packed gradient buffer."""
+        """Backward propagation; accumulates into the packed gradient buffer
+        and returns the gradient with respect to the network input."""
         for layer in reversed(self.layers):
             dy = layer.backward(dy)
         return dy
@@ -197,12 +203,27 @@ class Network:
         Zeroes the gradient buffer, runs forward propagation, evaluates the
         loss, and backpropagates. After this call ``self.grads`` holds the
         batch-mean gradient; returns the scalar loss.
+
+        No input gradient is computed: backpropagation stops at the first
+        layer with parameters, which accumulates its parameter gradients
+        only (a ``Conv2D`` or ``Dense`` there skips its input-gradient GEMM,
+        and ``col2im``), and the parameter-free layers in front of it are
+        not run backward. :meth:`backward` still returns the input gradient.
         """
         loss = loss or SoftmaxCrossEntropy()
         self.zero_grads()
         logits = self.forward(images, training=True)
         value = loss.forward(logits, labels)
-        self.backward(loss.backward())
+        dy = loss.backward()
+        if self._first_trainable is None:
+            return value
+        for layer in reversed(self.layers[self._first_trainable + 1 :]):
+            dy = layer.backward(dy)
+        first = self.layers[self._first_trainable]
+        if isinstance(first, (Conv2D, Dense)):
+            first.backward(dy, input_grad=False)
+        else:
+            first.backward(dy)
         return value
 
     def evaluate(self, images: np.ndarray, labels: np.ndarray, batch_size: int = 256) -> float:

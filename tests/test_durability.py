@@ -411,6 +411,7 @@ class TestBitIdenticalResume:
             trainer.train(N, resume=True)
 
 
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 class TestChipPartitionResume:
     """The KNL chip-partition trainer forks real worker processes under
     ``--backend processes``: restore must re-publish the weights into the

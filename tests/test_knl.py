@@ -216,6 +216,7 @@ class TestClusterModeModel:
 
 @pytest.mark.mp
 @pytest.mark.slow
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
 class TestChipPartitionProcesses:
     """backend='processes': forked group workers over shared memory must be
     an exact substitute for the serial divide-and-conquer loop."""
