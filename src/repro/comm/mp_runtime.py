@@ -52,7 +52,7 @@ import os
 import pickle
 import queue as _queue
 import time
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -84,7 +84,7 @@ from repro.comm.shm_transport import (
     validate_transport,
 )
 from repro.faults import FaultLog, FaultPlan
-from repro.optim.quantize import validate_wire_dtype
+from repro.optim.quantize import encode_wire, round_to_wire, validate_wire_dtype
 from repro.trace.events import Trace, TraceEvent
 
 __all__ = [
@@ -431,7 +431,7 @@ class MpRankContext(RankContextBase):
                 arena = cache.get(name)
             if arena is None:
                 arena = CollectiveArena.create_or_attach(
-                    name, self.size, elems, self.wire_dtype, timeout=self.timeout
+                    name, self.size, elems, timeout=self.timeout
                 )
                 if cache is not None:
                     cache[name] = arena
@@ -488,16 +488,17 @@ class MpRankContext(RankContextBase):
     def collective_buffer(self, elems: int, tag: int = 103) -> np.ndarray:
         """The arena contribution row, when one will back the allreduce.
 
-        A caller that computes its contribution straight into this row
-        skips the staging copy in :meth:`_ring_allreduce` — gradients are
-        then *born* in shared memory. Falls back to a private buffer
+        A caller that computes its contribution straight into this float32
+        row skips the staging copy in :meth:`_ring_allreduce` — gradients
+        are then *born* in shared memory. On a float16 wire the allreduce
+        rounds the row in place to half precision, so after the call the
+        row holds the rounded contribution. Falls back to a private buffer
         whenever the arena path would not engage (tree collective, queue
-        transport, float16 wire, or a buffer too small to shard).
+        transport, or a buffer too small to shard).
         """
         if (
             self._transport is not None
             and self.collective == "ring"
-            and self.wire_dtype == "float32"
             and self.faults is None
             and self.size > 1
             and elems >= self.size
@@ -514,9 +515,10 @@ class MpRankContext(RankContextBase):
         generic message ring, but the data plane is a
         :class:`~repro.comm.shm_transport.CollectiveArena`:
 
-        1. stage the contribution into this rank's arena row (skipped
-           when the caller already computed into it via
-           :meth:`collective_buffer`);
+        1. stage the contribution into this rank's float32 arena row
+           (skipped when the caller already computed into it via
+           :meth:`collective_buffer`); on a float16 wire, round the row
+           in place to half precision before any peer reads it;
         2. *reduce-scatter*: send a ready token to every peer, collect
            theirs, then tree-reduce the P row slices of our owner shard
            straight into the shared result row — in place in shm;
@@ -545,15 +547,21 @@ class MpRankContext(RankContextBase):
         n = flat.size
         arena = self._arena_for(tag, n)
         bounds = shard_bounds(n, p)
-        wire_item = arena.rows[0].dtype.itemsize
+        wire_item = np.dtype(self.wire_dtype).itemsize
 
         def shard_nbytes(s: int) -> int:
             return (bounds[s + 1] - bounds[s]) * wire_item
 
-        # 1. Stage our contribution (no-op when it was born in the row).
+        # 1. Stage our contribution (no-op when it was born in the row),
+        #    then give it the wire's precision before the ready tokens.
         row = arena.rows[r]
         if not np.shares_memory(row, flat):
+            if flat.dtype != row.dtype:
+                # Round a non-float32 input once, straight to the wire
+                # format, as the generic ring's encode does.
+                flat = encode_wire(flat, self.wire_dtype)
             np.copyto(row, flat, casting="same_kind")
+        round_to_wire(row, self.wire_dtype)
 
         # 2. Reduce-scatter: ready tokens out, ready tokens in, then the
         #    in-shm owner reduce. Logically rank r ships shard (r+k)%p's
@@ -569,10 +577,7 @@ class MpRankContext(RankContextBase):
             self._poll(src, rs_tag, None)
             self._arena_msg("recv", src, rs_tag, shard_nbytes(r), k - 1)
         if hi > lo:
-            cols: Sequence[np.ndarray] = [arena.rows[q][lo:hi] for q in range(p)]
-            if self.wire_dtype != "float32":
-                cols = [c.astype(np.float32) for c in cols]
-            tree_reduce_into(cols, arena.result[lo:hi])
+            tree_reduce_into([arena.rows[q][lo:hi] for q in range(p)], arena.result[lo:hi])
 
         # 3. Allgather: done tokens out, done tokens in, result is ready.
         self._trace_op = "ring-allgather"

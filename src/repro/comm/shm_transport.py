@@ -425,9 +425,12 @@ class ShmTransport:
 class CollectiveArena:
     """All-ranks shared staging area for one sharded-ring allreduce channel.
 
-    One named segment holds P **contribution rows** (``elems`` elements in
-    the wire dtype, one row per rank, each row cache-line aligned) followed
-    by one float32 **result row**. The ring schedule then never moves the
+    One named segment holds P float32 **contribution rows** (``elems``
+    elements, one row per rank, each row cache-line aligned) followed by
+    one float32 **result row**. The layout is the same for every wire
+    dtype: on a float16 wire the allreduce rounds each row in place to
+    half precision (:func:`repro.optim.quantize.round_to_wire`) before
+    the owners reduce it. The ring schedule then never moves the
     bulk bytes at all: every rank writes its contribution into its own row,
     each shard owner tree-reduces the P row slices of its shard straight
     into the result row — reduction happens *in place in shared memory* —
@@ -442,16 +445,14 @@ class CollectiveArena:
     communicator unlinks by name after the run, exactly like slot rings.
     """
 
-    def __init__(self, shm: Any, size: int, elems: int, wire_dtype: str) -> None:
-        wire = np.dtype(np.float16 if wire_dtype == "float16" else np.float32)
+    def __init__(self, shm: Any, size: int, elems: int) -> None:
         self.size = size
         self.elems = elems
-        self.wire_dtype = wire_dtype
-        self.row_nbytes = -(-elems * wire.itemsize // 64) * 64
+        self.row_nbytes = self._row_nbytes(elems)
         self._shm = shm
-        #: rows[q]: rank q's contribution, in the wire dtype.
+        #: rows[q]: rank q's float32 contribution.
         self.rows: List[np.ndarray] = [
-            np.frombuffer(shm.buf, dtype=wire, count=elems, offset=q * self.row_nbytes)
+            np.frombuffer(shm.buf, dtype=np.float32, count=elems, offset=q * self.row_nbytes)
             for q in range(size)
         ]
         #: The float32 result row all ranks read after the owners reduce.
@@ -460,10 +461,12 @@ class CollectiveArena:
         )
 
     @staticmethod
-    def _total_bytes(size: int, elems: int, wire_dtype: str) -> int:
-        wire = np.dtype(np.float16 if wire_dtype == "float16" else np.float32)
-        row = -(-elems * wire.itemsize // 64) * 64
-        return size * row + elems * 4
+    def _row_nbytes(elems: int) -> int:
+        return -(-elems * 4 // 64) * 64
+
+    @classmethod
+    def _total_bytes(cls, size: int, elems: int) -> int:
+        return size * cls._row_nbytes(elems) + elems * 4
 
     @property
     def name(self) -> str:
@@ -475,7 +478,6 @@ class CollectiveArena:
         name: str,
         size: int,
         elems: int,
-        wire_dtype: str = "float32",
         timeout: float = _DEFAULT_TIMEOUT,
     ) -> "CollectiveArena":
         """Map the arena ``name``, creating it if this rank arrives first.
@@ -490,11 +492,11 @@ class CollectiveArena:
             raise ValueError("size and elems must be positive")
         from multiprocessing import shared_memory
 
-        total = cls._total_bytes(size, elems, wire_dtype)
+        total = cls._total_bytes(size, elems)
         try:
             shm = shared_memory.SharedMemory(create=True, size=total, name=name)
             register_segment(name)
-            return cls(shm, size, elems, wire_dtype)
+            return cls(shm, size, elems)
         except FileExistsError:
             pass
         deadline = time.monotonic() + timeout
@@ -505,7 +507,7 @@ class CollectiveArena:
                 shm = None
             if shm is not None:
                 if shm.buf.nbytes >= total:
-                    return cls(shm, size, elems, wire_dtype)
+                    return cls(shm, size, elems)
                 shm.close()  # creator's ftruncate not landed yet
             if time.monotonic() >= deadline:
                 raise TimeoutError(
@@ -533,7 +535,7 @@ class CollectiveArena:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"CollectiveArena({self.name!r}, ranks={self.size}, "
-            f"elems={self.elems}, wire={self.wire_dtype})"
+            f"elems={self.elems})"
         )
 
 

@@ -17,6 +17,7 @@ __all__ = [
     "validate_wire_dtype",
     "encode_wire",
     "decode_wire",
+    "round_to_wire",
 ]
 
 #: Wire formats a rank runtime may put on the fabric. ``float32`` is the
@@ -62,6 +63,64 @@ def decode_wire(array: np.ndarray, wire_dtype: str) -> np.ndarray:
     if wire_dtype == "float32":
         return array
     return array.astype(np.float32)
+
+
+#: Elements per :func:`round_to_wire` chunk: 128 KB of float32, so a
+#: chunk and its two scratch rows stay in L2 across the passes over it.
+_ROUND_CHUNK = 1 << 15
+_F32_EXP = np.uint32(0x7F800000)
+#: float32 bits of 2^-14, float16's smallest normal: below it the half
+#: ulp is the fixed subnormal step 2^-24.
+_F16_MIN_EXP = np.uint32(0x38800000)
+#: 13 in float32's exponent field: 2^(e+13) has a float32 ulp of 2^(e-10),
+#: the float16 ulp at exponent e.
+_F16_ULP_SHIFT = np.uint32(13 << 23)
+#: Half of float16's max finite ulp past 65504: from here on a value
+#: rounds to infinity.
+_F16_OVERFLOW = np.float32(65520.0)
+
+
+def round_to_wire(array: np.ndarray, wire_dtype: str) -> np.ndarray:
+    """Round a float32 ``array`` in place to the values the wire carries.
+
+    Bitwise equal to ``decode_wire(encode_wire(array, wire_dtype),
+    wire_dtype)``, written back into ``array`` (returned), but with no
+    float16 cast on the common path. Per chunk of finite values below
+    65520, adding ``C = 2^(max(e, -14) + 13)`` to ``|x|`` puts float16's
+    ulp on float32's last bit, so the hardware's round-to-nearest-even
+    does the rounding and ``(|x| + C) - C`` is exact; ``copysign`` keeps
+    the sign, -0.0 included. A chunk holding NaN, ±Inf or a value that
+    overflows float16 goes through numpy's own cast instead, so NaN
+    payloads and the overflow warning are exactly the codec's. Identity
+    for ``float32``.
+    """
+    validate_wire_dtype(wire_dtype)
+    if wire_dtype == "float32":
+        return array
+    if array.dtype != np.float32 or not array.flags.c_contiguous:
+        raise TypeError(
+            f"round_to_wire rounds C-contiguous float32 arrays in place, "
+            f"got {array.dtype} (c_contiguous={array.flags.c_contiguous})"
+        )
+    flat = array.reshape(-1)
+    n = min(_ROUND_CHUNK, flat.size)
+    t = np.empty(n, dtype=np.float32)
+    c = np.empty(n, dtype=np.uint32)
+    for lo in range(0, flat.size, _ROUND_CHUNK):
+        x = flat[lo : lo + _ROUND_CHUNK]
+        ts, cs = t[: x.size], c[: x.size]
+        np.abs(x, out=ts)
+        if not ts.max() < _F16_OVERFLOW:
+            x[...] = decode_wire(encode_wire(x, wire_dtype), wire_dtype)
+            continue
+        np.bitwise_and(x.view(np.uint32), _F32_EXP, out=cs)
+        np.maximum(cs, _F16_MIN_EXP, out=cs)
+        np.add(cs, _F16_ULP_SHIFT, out=cs)
+        cf = cs.view(np.float32)
+        np.add(ts, cf, out=ts)
+        np.subtract(ts, cf, out=ts)
+        np.copysign(ts, x, out=x)
+    return array
 
 
 def quantize_gradient(

@@ -263,13 +263,6 @@ class WorkerPool:
             return None
         return cpus
 
-    def _coll_prefix(self, base: int, nranks: int, wire_dtype: str) -> str:
-        # The wire dtype is part of the identity: arena rows are laid out
-        # in wire format, so a float16 cell must never attach a float32
-        # cell's segment of the same shape.
-        stem = f"{self._coll_stem}b{base}x{nranks}"
-        return stem if wire_dtype == "float32" else f"{stem}{wire_dtype}"
-
     def _allocate(self, nranks: int) -> int:
         """First contiguous free block (caller holds the lock), or -1."""
         run = 0
@@ -357,7 +350,7 @@ class WorkerPool:
             "wire_dtype": wire_dtype,
             "chunk_elems": chunk_elems,
             "start_time": self._start if start_time is None else start_time,
-            "coll_prefix": self._coll_prefix(base, nranks, wire_dtype),
+            "coll_prefix": f"{self._coll_stem}b{base}x{nranks}",
         }
         for cell_rank in range(nranks):
             self._work_qs[base + cell_rank].put(

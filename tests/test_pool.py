@@ -21,7 +21,7 @@ import pytest
 from repro.algorithms.base import TrainerConfig
 from repro.algorithms.mpi_easgd import run_mpi_sync_easgd
 from repro.algorithms.ps_runner import run_mpi_ps
-from repro.comm.mp_runtime import fork_available
+from repro.comm.mp_runtime import fork_available, MultiprocessCommunicator
 from repro.data import make_mnist_like
 from repro.harness.experiment import ExperimentSpec, run_methods
 from repro.harness.sweeps import grid_sweep
@@ -134,6 +134,39 @@ def test_consecutive_cells_reuse_one_arena(collective):
     assert segs1 == segs2, f"cell 2 grew new segments: {set(segs2) - set(segs1)}"
     after = _shm_listing()
     assert not [s for s in after if s in segs1], "pool close leaked segments"
+
+
+def _wire_cell(ctx, seed):
+    # One shape for both wires: ~4 rounding chunks, values float16 rounds.
+    x = np.random.default_rng(seed + ctx.rank).standard_normal(4 * 32768 + 5).astype(np.float32)
+    buf = ctx.collective_buffer(x.size)
+    buf[:] = x
+    return _digest(ctx.allreduce(buf))
+
+
+@pytest.mark.slow
+@pytest.mark.mp
+@needs_fork
+def test_wire_dtypes_share_one_arena():
+    """float32, float16, float32 cells of one shape run on one arena (its
+    rows are float32 on every wire) and each matches its cold run."""
+    cold = {}
+    for wire in ("float32", "float16"):
+        comm = MultiprocessCommunicator(
+            RANKS, transport="shm", collective="ring", wire_dtype=wire, timeout=30.0
+        )
+        try:
+            cold[wire] = comm.run(_wire_cell, 3)
+        finally:
+            comm.close()
+    assert cold["float32"] != cold["float16"]
+    with WorkerPool(RANKS, backend="processes", transport="shm") as pool:
+        segs = []
+        for wire in ("float32", "float16", "float32"):
+            got = pool.run(RANKS, _wire_cell, 3, collective="ring", wire_dtype=wire)
+            assert got == cold[wire], f"pooled {wire} cell drifted from its cold run"
+            segs.append(_shm_listing())
+    assert segs[0] == segs[1] == segs[2], "a wire dtype grew its own arena"
 
 
 @pytest.mark.slow
